@@ -2,8 +2,9 @@
 // commit the winner's state, discard the loser — the paper's §1.1 block in
 // a dozen lines of library code.
 //
-//   $ quickstart [--backend=virtual|thread]
+//   $ quickstart [--backend=virtual|pool]
 #include <cstdio>
+#include <string>
 
 #include "core/alt.hpp"
 #include "core/alt_context.hpp"
@@ -15,9 +16,12 @@ using namespace mw;
 int main(int argc, char** argv) {
   Cli cli(argc, argv);
   RuntimeConfig cfg;
-  cfg.backend = cli.get("backend", "virtual") == "thread"
-                    ? AltBackend::kThread
-                    : AltBackend::kVirtual;
+  const std::string backend = cli.get("backend", "virtual");
+  if (backend != "virtual" && backend != "pool") {
+    std::fprintf(stderr, "usage: quickstart [--backend=virtual|pool]\n");
+    return 2;
+  }
+  cfg.backend = backend == "pool" ? AltBackend::kPool : AltBackend::kVirtual;
   cfg.processors = 2;
   Runtime rt(cfg);
 

@@ -8,9 +8,6 @@ namespace internal {
 AltOutcome run_alternatives_virtual(Runtime& rt, World& parent,
                                     const std::vector<Alternative>& alts,
                                     const AltOptions& opts);
-AltOutcome run_alternatives_thread(Runtime& rt, World& parent,
-                                   const std::vector<Alternative>& alts,
-                                   const AltOptions& opts);
 AltOutcome run_alternatives_pool(Runtime& rt, World& parent,
                                  const std::vector<Alternative>& alts,
                                  const AltOptions& opts);
@@ -23,9 +20,6 @@ AltOutcome run_alternatives(Runtime& rt, World& parent,
   switch (rt.config().backend) {
     case AltBackend::kVirtual:
       out = internal::run_alternatives_virtual(rt, parent, alts, opts);
-      break;
-    case AltBackend::kThread:
-      out = internal::run_alternatives_thread(rt, parent, alts, opts);
       break;
     case AltBackend::kPool:
       out = internal::run_alternatives_pool(rt, parent, alts, opts);

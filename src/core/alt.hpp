@@ -37,15 +37,16 @@ enum class Elimination { kSynchronous, kAsynchronous };
 /// Which engine executes the block.
 ///  * kVirtual — deterministic discrete-event backend: bodies run serially,
 ///    accounting work in ticks; a virtual-processor scheduler decides the
-///    winner. Reproducible on any host.
-///  * kThread — wall-clock backend: one OS thread per alternative, first
-///    successful sync wins a CAS; losers are cancelled cooperatively.
-///  * kPool — wall-clock backend for *many concurrent races*: alternatives
-///    are enqueued as tasks on a shared work-stealing pool (one worker per
-///    hardware thread) with bounded admission and cancellation-aware
-///    pruning — queued losers are revoked before they ever run. See
-///    core/spec_scheduler.hpp.
-enum class AltBackend { kVirtual, kThread, kPool };
+///    winner. Reproducible on any host; the reference semantics.
+///  * kPool — wall-clock backend: alternatives are enqueued as tasks on a
+///    shared work-stealing pool (one worker per hardware thread) with
+///    bounded admission and cancellation-aware pruning — queued losers are
+///    revoked before they ever run; running losers are cancelled
+///    cooperatively. See core/alt_pool.hpp and core/spec_scheduler.hpp.
+/// Real POSIX processes run through run_alternatives_fork
+/// (core/fork_backend.hpp) instead, since a forked child cannot share a
+/// World.
+enum class AltBackend { kVirtual, kPool };
 
 struct Alternative {
   std::string name;
@@ -64,17 +65,18 @@ struct Alternative {
 
 struct AltOptions {
   /// Parent's alt_wait timeout. In the virtual backend this is virtual
-  /// ticks; in the thread backend, microseconds of wall time. kVTimeMax
+  /// ticks; in the pool backend, microseconds of wall time. kVTimeMax
   /// waits forever. Choose "a value clearly unacceptable to the
   /// application" (§2.2).
   VDuration timeout = kVTimeMax;
   Elimination elimination = Elimination::kAsynchronous;
   unsigned guard_phases = kGuardInChild;
-  /// Thread backend: how long (µs of wall time) the block waits for
-  /// eliminated siblings to acknowledge cancellation before detaching them
-  /// as stragglers. Losers normally unwind at their next checkpoint; this
-  /// deadline bounds the damage of a loser that never checks (e.g. a hang
-  /// with no cancellation token). kVTimeMax = wait forever (join).
+  /// Pool backend: how long (µs of wall time) the block waits for
+  /// eliminated siblings to end — on the timeout path, under synchronous
+  /// elimination and before returning — before leaving them behind as
+  /// stragglers. Losers normally unwind at their next checkpoint; this
+  /// deadline bounds the damage of a loser that never checks (e.g. a body
+  /// that blocks without a cancellation token). kVTimeMax = wait forever.
   VDuration reap_deadline = 1'000'000;
 };
 
@@ -99,9 +101,9 @@ struct AltReport {
   /// Pool backend: pruned from the queue before its body ever ran (its
   /// world copied zero pages). Implies !ran.
   bool revoked = false;
-  /// Thread backend: still running at the reap deadline and detached. Its
-  /// world/result slots are kept alive until it unwinds, but its page
-  /// counters were not sampled.
+  /// Pool backend: not yet ended at the reap deadline. Its task keeps its
+  /// world and admission grant until it unwinds, and frees both then; its
+  /// page counters were not sampled.
   bool straggler = false;
   VTime start = 0;
   VTime finish = 0;
@@ -125,7 +127,7 @@ struct AltOutcome {
   std::optional<std::size_t> winner;  // 0-based index into the input vector
   std::string winner_name;
   /// Block execution time as seen by the parent: ticks (virtual) or
-  /// microseconds (thread backend).
+  /// microseconds (pool backend).
   VDuration elapsed = 0;
   OverheadBreakdown overhead;
   /// Result bytes the winner published via AltContext::set_result.

@@ -1,7 +1,8 @@
-// The kPool backend: alternative blocks executed as tasks on the shared
-// work-stealing SpecScheduler instead of one OS thread per alternative.
+// The kPool backend: the wall-clock engine for alternative blocks. Each
+// alternative is a task on the shared work-stealing SpecScheduler (one
+// worker per hardware thread), so many concurrent races never ask the OS
+// for more runnable threads than cores.
 //
-// Differences from the kThread backend, in decreasing order of importance:
 //   * Admission — the block asks the scheduler's speculation budget for
 //     room *before* forking any world; a rejected block fails with
 //     AltFailure::kAdmissionRejected and spawns nothing.
@@ -12,9 +13,14 @@
 //   * Helping — a parent that is itself a pool worker (nested races) or a
 //     deterministic-mode driver executes tasks while it waits instead of
 //     blocking, so a fully subscribed pool cannot deadlock on nesting.
+//   * Bounded reap — elimination is cooperative, so a loser that never
+//     checks its cancel token would wedge the parent. The block waits at
+//     most AltOptions::reap_deadline for its losers to end, then returns
+//     with the rest marked AltReport::straggler. A straggler keeps its
+//     world and its admission grant until its own task ends.
 //
 // Semantics (winner selection, guards, accept, commit, elimination of
-// running losers) are identical to kThread.
+// running losers) are those of the kVirtual reference backend.
 #pragma once
 
 #include <vector>

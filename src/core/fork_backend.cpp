@@ -88,18 +88,19 @@ ForkOutcome run_alternatives_fork(const std::vector<ForkAlternative>& alts,
         wait_clock.elapsed_us() > static_cast<double>(opts.timeout_us)) {
       break;
     }
-    int status = 0;
-    const pid_t reaped = ::waitpid(-1, &status, WNOHANG);
-    if (reaped > 0) {
-      for (auto& k : kids) {
-        if (k == reaped) k = -1;
+    // Poll this block's own children only: waitpid(-1) would also reap,
+    // and count as ours, a child the caller forked for something else.
+    bool reaped = false;
+    for (auto& k : kids) {
+      if (k > 0 && ::waitpid(k, nullptr, WNOHANG) == k) {
+        k = -1;
+        --alive;
+        reaped = true;
       }
-      --alive;
-      // A child that synchronized just before exiting counts as a winner
-      // on the next loop iteration.
-      continue;
     }
-    ::usleep(100);
+    // A child that synchronized just before exiting counts as a winner on
+    // the next loop iteration.
+    if (!reaped) ::usleep(100);
   }
   // Catch a child that won between the last poll and an exit we reaped.
   if (winner < 0) winner = slot->winner.load(std::memory_order_acquire);
@@ -125,21 +126,17 @@ ForkOutcome run_alternatives_fork(const std::vector<ForkAlternative>& alts,
   for (std::size_t i = 0; i < kids.size(); ++i) {
     if (kids[i] > 0 && static_cast<int>(i) != winner) ::kill(kids[i], SIGKILL);
   }
-  if (opts.synchronous_elimination) {
+  auto reap = [&](bool winner_too) {
     for (std::size_t i = 0; i < kids.size(); ++i) {
-      if (kids[i] > 0 && static_cast<int>(i) != winner)
+      if (kids[i] > 0 && (winner_too || static_cast<int>(i) != winner)) {
         ::waitpid(kids[i], nullptr, 0);
+        kids[i] = -1;
+      }
     }
-    out.elimination_sec = elim_clock.elapsed_sec();
-  } else {
-    out.elimination_sec = elim_clock.elapsed_sec();
-    for (std::size_t i = 0; i < kids.size(); ++i) {
-      if (kids[i] > 0 && static_cast<int>(i) != winner)
-        ::waitpid(kids[i], nullptr, 0);
-    }
-  }
-  if (winner >= 0 && kids[static_cast<std::size_t>(winner)] > 0)
-    ::waitpid(kids[static_cast<std::size_t>(winner)], nullptr, 0);
+  };
+  if (opts.synchronous_elimination) reap(false);
+  out.elimination_sec = elim_clock.elapsed_sec();
+  reap(true);
 
   ::munmap(slot, region_bytes);
   return out;

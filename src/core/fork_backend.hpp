@@ -5,8 +5,11 @@
 // shared-memory at-most-once slot; the parent kills losing siblings with
 // SIGKILL (asynchronous elimination) or kill+waitpid (synchronous).
 //
-// This backend exists for fidelity and for the overhead benchmarks; the
-// portable library API is run_alternatives (core/alt.hpp).
+// This is the paper's alt_spawn/alt_wait over processes: the parent's
+// state absorbs the winner's changes by copying ForkOutcome::result into
+// it, the §2.2 escape hatch for when page tables cannot be swapped. It
+// exists for fidelity and for the overhead benchmarks; the portable
+// library API is run_alternatives (core/alt.hpp).
 #pragma once
 
 #include <cstdint>
@@ -43,8 +46,8 @@ struct ForkOutcome {
   double elimination_sec = 0.0;  // time spent eliminating siblings
 };
 
-/// Runs the block with real processes. Not reentrant from multiple threads
-/// (uses waitpid on its own children).
+/// Runs the block with real processes. Waits only on the children it
+/// forked: other children of the caller are left for their owner to reap.
 ForkOutcome run_alternatives_fork(const std::vector<ForkAlternative>& alts,
                                   const ForkOptions& opts = {});
 

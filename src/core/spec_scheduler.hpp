@@ -1,7 +1,7 @@
 // SpecScheduler: the work-stealing executor behind the kPool backend.
 //
-// The paper spawns every alternative eagerly; the kThread backend inherits
-// that as one OS thread per alternative, which collapses once many races
+// The paper spawns every alternative eagerly; taken literally on threads
+// that is one OS thread per alternative, which collapses once many races
 // run concurrently (256 races x 4 alternatives = 1024 threads on however
 // many cores the host has). Or-parallel Prolog engines solved the same
 // problem with scheduler-mediated work *sharing* instead of

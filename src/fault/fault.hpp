@@ -93,7 +93,7 @@ struct FiredFault {
   VTime at = 0;           // the `now` passed to query()
 };
 
-/// Seeded registry of armed fault points. Thread-safe: the thread backend
+/// Seeded registry of armed fault points. Thread-safe: the pool backend
 /// queries points from concurrent alternative bodies.
 class FaultInjector {
  public:
@@ -148,7 +148,7 @@ class FaultInjector {
 
 /// The ambient injector consulted by MW_FAULT_POINT, or nullptr (the
 /// default: all faults disabled). Process-global, not thread-local, so
-/// fault points inside worker threads of the thread backend see it.
+/// fault points inside worker threads of the pool backend see it.
 FaultInjector* fault_injector();
 
 /// RAII installation of an ambient injector; restores the previous one.

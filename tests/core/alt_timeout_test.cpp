@@ -1,5 +1,6 @@
-// Timeout-path coverage across backends: when every child hangs, alt_wait's
-// deadline must still fire and select the failure alternative — "choose a
+// Timeout-path coverage across substrates (virtual time, pool worker
+// threads, forked processes): when every child hangs, alt_wait's deadline
+// must still fire and select the failure alternative — "choose a
 // value clearly unacceptable to the application" (§2.2) only works if a
 // wedged child cannot wedge the parent.
 #include <unistd.h>
@@ -8,7 +9,7 @@
 
 #include "core/alt.hpp"
 #include "core/alt_context.hpp"
-#include "core/alt_posix.hpp"
+#include "core/fork_backend.hpp"
 #include "core/runtime.hpp"
 
 namespace mw {
@@ -76,7 +77,7 @@ TEST(AltTimeoutVirtual, MixOfHangAndFailTimesOut) {
 }
 
 TEST(AltTimeoutThread, AllHungSelectsFailureAtDeadline) {
-  Runtime rt = make_runtime(AltBackend::kThread);
+  Runtime rt = make_runtime(AltBackend::kPool);
   World root = rt.make_root();
   const AltOutcome out = AltBlock(rt, root)
                              .alt("h1", [](AltContext& ctx) { ctx.hang(); })
@@ -92,7 +93,7 @@ TEST(AltTimeoutThread, AllHungSelectsFailureAtDeadline) {
 }
 
 TEST(AltTimeoutThread, HungSiblingIsEliminatedByWinner) {
-  Runtime rt = make_runtime(AltBackend::kThread);
+  Runtime rt = make_runtime(AltBackend::kPool);
   World root = rt.make_root();
   const AltOutcome out =
       AltBlock(rt, root)
@@ -109,17 +110,17 @@ TEST(AltTimeoutThread, HungSiblingIsEliminatedByWinner) {
 }
 
 TEST(AltTimeoutPosix, SpinningChildrenCannotOutliveTheDeadline) {
-  PosixAltBlock block;
-  switch (block.alt_spawn(2)) {
-    case 0: {
-      const auto winner = block.parent_wait(/*timeout_us=*/150'000);
-      EXPECT_FALSE(winner.has_value());  // failure alternative selected
-      break;
-    }
-    case 1:
-    case 2:
-      for (;;) ::usleep(10'000);  // hang: never sync, never abort
-  }
+  // Two children that never sync and never abort: the deadline selects the
+  // failure alternative and the spinners are killed.
+  const ForkAlternative spinner{"spin", [](std::vector<std::uint8_t>&) {
+                                  for (;;) ::usleep(10'000);
+                                  return true;
+                                }};
+  const ForkOutcome out = run_alternatives_fork(
+      {spinner, spinner}, ForkOptions{.timeout_us = 150'000});
+  EXPECT_TRUE(out.failed);  // failure alternative selected
+  EXPECT_FALSE(out.winner.has_value());
+  EXPECT_LT(out.elapsed_sec, 5.0);
 }
 
 }  // namespace

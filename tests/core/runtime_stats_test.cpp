@@ -93,7 +93,7 @@ TEST(RuntimeStats, OverheadLedgerMatchesOutcomes) {
 
 TEST(RuntimeStats, ThreadBackendAlsoRecords) {
   RuntimeConfig cfg;
-  cfg.backend = AltBackend::kThread;
+  cfg.backend = AltBackend::kPool;  // wall clock, on worker threads
   cfg.page_size = 64;
   cfg.num_pages = 32;
   Runtime rt(cfg);

@@ -1,11 +1,13 @@
 // Unit tests for the work-stealing speculation scheduler and the kPool
 // backend built on it: priority order, queued-task revocation, bounded
-// admission, helping waits, and the kThread backend's bounded straggler
-// reap that the pool design replaced.
+// admission, helping waits, blocks run from a non-worker thread on real
+// worker threads, and the bounded straggler reap.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -14,6 +16,8 @@
 #include "core/runtime.hpp"
 #include "core/runtime_auditor.hpp"
 #include "core/spec_scheduler.hpp"
+#include "fault/fault.hpp"
+#include "util/stopwatch.hpp"
 
 namespace mw {
 namespace {
@@ -284,61 +288,316 @@ TEST(AltPool, ThreadedPoolRunsManyRacesCleanly) {
   EXPECT_TRUE(audit.clean()) << audit.to_string();
 }
 
-// ---- kThread bounded reap --------------------------------------------
+// ---- Real worker threads, non-worker parent -------------------------
+//
+// AltThread: blocks run from the test thread on two pool workers, so the
+// parent blocks on the block's condition variable instead of helping, and
+// the alternatives run in parallel with it.
 
-TEST(AltThreadReap, DeafLoserIsDetachedAsStragglerAtTheDeadline) {
-  // The loser ignores cancellation entirely (a plain sleep, no
-  // checkpoints). The block must come back at the reap deadline with the
-  // loser marked straggler instead of blocking on a join.
+RuntimeConfig threaded_config() {
   RuntimeConfig cfg;
-  cfg.backend = AltBackend::kThread;
-  cfg.page_size = 256;
-  cfg.num_pages = 16;
-  Runtime rt(cfg);
-  World root = rt.make_root("reap");
-  std::vector<Alternative> race;
-  race.push_back({"win", nullptr,
-                  [](AltContext& ctx) { ctx.set_result_string("w"); },
-                  nullptr, 0.0});
-  std::atomic<bool> loser_done{false};
-  race.push_back({"deaf", nullptr,
-                  [&](AltContext&) {
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(150));
-                    loser_done = true;
-                  },
-                  nullptr, 0.0});
-  AltOptions opts;
-  opts.reap_deadline = 10'000;  // 10 ms
-  const AltOutcome out = run_alternatives(rt, root, race, opts);
-  ASSERT_FALSE(out.failed);
-  EXPECT_EQ(out.winner_name, "win");
-  EXPECT_FALSE(loser_done.load());  // we returned before the sleep ended
-  EXPECT_TRUE(out.alts[1].straggler);
-  EXPECT_FALSE(out.alts[0].straggler);
-  // Let the detached straggler unwind before the runtime leaves scope.
-  while (!loser_done.load())
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  cfg.backend = AltBackend::kPool;
+  cfg.page_size = 64;
+  cfg.num_pages = 64;
+  cfg.pool.workers = 2;
+  return cfg;
 }
 
-TEST(AltThreadReap, CooperativeLosersJoinWithoutStragglers) {
-  RuntimeConfig cfg;
-  cfg.backend = AltBackend::kThread;
-  cfg.page_size = 256;
-  cfg.num_pages = 16;
-  Runtime rt(cfg);
-  World root = rt.make_root("coop");
+class AltThread : public ::testing::Test {
+ protected:
+  Runtime rt{threaded_config()};
+  World root = rt.make_root();
+};
+
+// Waits for `flag` without a cancellation checkpoint. Used by a winner to
+// hold its sync until a sibling has started, so the sibling runs instead
+// of being revoked while still queued.
+void spin_until(const std::atomic<bool>& flag) {
+  while (!flag.load())
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+}
+
+TEST_F(AltThread, SingleAlternativeWins) {
   const AltOutcome out =
       AltBlock(rt, root)
-          .alt("win", [](AltContext& ctx) { ctx.set_result_string("w"); })
-          .alt("coop",
-               [](AltContext& ctx) {
-                 for (int i = 0; i < 200; ++i) ctx.sleep_for(1'000);
-                 ctx.fail("never");
+          .alt("only", [](AltContext& ctx) { ctx.space().store<int>(0, 42); })
+          .run();
+  EXPECT_FALSE(out.failed);
+  EXPECT_EQ(out.winner, 0u);
+  EXPECT_EQ(root.space().load<int>(0), 42);
+}
+
+TEST_F(AltThread, FirstSuccessfulSyncWins) {
+  // One alternative finishes at once; the other spins until eliminated.
+  const AltOutcome out =
+      AltBlock(rt, root)
+          .alt("quick", [](AltContext& ctx) { ctx.space().store<int>(0, 1); })
+          .alt("spin", [](AltContext& ctx) { for (;;) ctx.checkpoint(); })
+          .run();
+  EXPECT_FALSE(out.failed);
+  EXPECT_EQ(out.winner, 0u);
+  EXPECT_EQ(root.space().load<int>(0), 1);
+}
+
+TEST_F(AltThread, AllAbortIsFailure) {
+  const AltOutcome out =
+      AltBlock(rt, root)
+          .alt("a", [](AltContext& ctx) { ctx.fail("x"); })
+          .alt("b", [](AltContext&) { throw std::runtime_error("y"); })
+          .run();
+  EXPECT_TRUE(out.failed);
+  EXPECT_EQ(out.failure, AltFailure::kAllFailed);
+}
+
+TEST_F(AltThread, TimeoutKillsSpinners) {
+  const AltOutcome out =
+      AltBlock(rt, root)
+          .alt("spin", [](AltContext& ctx) { for (;;) ctx.checkpoint(); })
+          .timeout(50'000)  // 50 ms
+          .run();
+  EXPECT_EQ(out.failure, AltFailure::kTimeout);
+  EXPECT_FALSE(out.alts[0].straggler);
+  EXPECT_EQ(rt.processes().status(out.alts[0].pid), ProcStatus::kEliminated);
+}
+
+TEST_F(AltThread, LoserWorldDiscarded) {
+  root.space().store<int>(0, 5);
+  const AltOutcome out = AltBlock(rt, root)
+                             .alt("winner", [](AltContext&) {})
+                             .alt("loser",
+                                  [](AltContext& ctx) {
+                                    ctx.space().store<int>(0, 666);
+                                    for (;;) ctx.checkpoint();
+                                  })
+                             .run();
+  EXPECT_EQ(out.winner, 0u);
+  EXPECT_EQ(root.space().load<int>(0), 5);
+}
+
+TEST_F(AltThread, GuardAndAcceptApply) {
+  const AltOutcome out = run_alternatives(
+      rt, root,
+      {Alternative{"rejected-by-guard", [](const World&) { return false; },
+                   [](AltContext& ctx) { ctx.space().store<int>(0, 1); },
+                   nullptr},
+       Alternative{"rejected-by-accept", nullptr,
+                   [](AltContext& ctx) { ctx.space().store<int>(0, 2); },
+                   [](const World&) { return false; }},
+       Alternative{"accepted", nullptr,
+                   [](AltContext& ctx) { ctx.space().store<int>(0, 3); },
+                   [](const World& w) { return w.space().load<int>(0) == 3; }}});
+  EXPECT_EQ(out.winner, 2u);
+  EXPECT_EQ(root.space().load<int>(0), 3);
+}
+
+TEST_F(AltThread, ResultBytesDelivered) {
+  const AltOutcome out =
+      AltBlock(rt, root)
+          .alt("r", [](AltContext& ctx) { ctx.set_result_string("worlds"); })
+          .run();
+  EXPECT_EQ(std::string(out.result.begin(), out.result.end()), "worlds");
+}
+
+TEST_F(AltThread, SynchronousEliminationWaitsForLosers) {
+  std::atomic<bool> loser_started{false};
+  std::atomic<bool> loser_exited{false};
+  const AltOutcome out =
+      AltBlock(rt, root)
+          .alt("w", [&](AltContext&) { spin_until(loser_started); })
+          .alt("l",
+               [&](AltContext& ctx) {
+                 struct OnExit {
+                   std::atomic<bool>* flag;
+                   ~OnExit() { *flag = true; }
+                 } guard{&loser_exited};
+                 loser_started = true;
+                 for (;;) ctx.checkpoint();
+               })
+          .elimination(Elimination::kSynchronous)
+          .run();
+  EXPECT_EQ(out.winner, 0u);
+  // Synchronous elimination: the loser terminated before the block
+  // returned.
+  EXPECT_TRUE(loser_exited.load());
+  EXPECT_FALSE(out.alts[1].straggler);
+}
+
+TEST_F(AltThread, ManyAlternativesStress) {
+  std::vector<Alternative> alts;
+  for (int i = 0; i < 16; ++i) {
+    alts.push_back(Alternative{"alt" + std::to_string(i), nullptr,
+                               [i](AltContext& ctx) {
+                                 ctx.space().store<int>(0, i);
+                                 if (i != 7) ctx.fail("only 7 succeeds");
+                               },
+                               nullptr});
+  }
+  const AltOutcome out = run_alternatives(rt, root, alts);
+  EXPECT_EQ(out.winner, 7u);
+  EXPECT_EQ(root.space().load<int>(0), 7);
+}
+
+TEST_F(AltThread, StatusesAfterBlock) {
+  std::atomic<bool> failer_started{false};
+  const AltOutcome out =
+      AltBlock(rt, root)
+          .alt("w", [&](AltContext&) { spin_until(failer_started); })
+          .alt("f",
+               [&](AltContext& ctx) {
+                 failer_started = true;
+                 ctx.fail("");
                })
           .run();
+  ASSERT_TRUE(out.winner.has_value());
+  EXPECT_EQ(rt.processes().status(out.alts[0].pid), ProcStatus::kSynced);
+  EXPECT_EQ(rt.processes().status(out.alts[1].pid), ProcStatus::kFailed);
+}
+
+// ---- Bounded straggler reap -------------------------------------------
+//
+// AltThreadReap: a loser that never checks its cancel token must not wedge
+// the parent. Elimination is cooperative, so the block waits at most
+// reap_deadline (10 ms here) for its losers and returns with the rest
+// marked straggler. The deaf body ignores cancellation until the test
+// releases it, or 5 s pass so a failed assertion cannot hang the
+// Runtime's worker join.
+
+class AltThreadReap : public ::testing::Test {
+ protected:
+  AltThreadReap() { opts.reap_deadline = 10'000; }
+
+  // Runs `race` and checks that the block came back while the deaf body
+  // still ran, then releases it.
+  AltOutcome run(const std::vector<Alternative>& race) {
+    Stopwatch sw;
+    const AltOutcome out = run_alternatives(rt, root, race, opts);
+    EXPECT_LT(sw.elapsed_ms(), 1000.0);
+    EXPECT_FALSE(deaf_done.load());
+    release = true;
+    return out;
+  }
+
+  void stay_deaf() {
+    for (int i = 0; i < 5000 && !release; ++i)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  Alternative deaf() {
+    return {"deaf", nullptr,
+            [this](AltContext&) {
+              started = true;
+              stay_deaf();
+              deaf_done = true;
+            },
+            nullptr};
+  }
+  Alternative winner_after_start() {
+    return {"win", nullptr,
+            [this](AltContext& ctx) {
+              spin_until(started);
+              ctx.set_result_string("w");
+            },
+            nullptr};
+  }
+
+  // Declared before the Runtime: its destructor joins the workers, so the
+  // flags must outlive any straggler.
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  std::atomic<bool> deaf_done{false};
+  Runtime rt{threaded_config()};
+  RuntimeAuditor auditor;
+  World root = rt.make_root("reap");
+  AltOptions opts;
+};
+
+TEST_F(AltThreadReap, DeafLoserIsDetachedAsStragglerAtTheDeadline) {
+  const AltOutcome out = run({winner_after_start(), deaf()});
   ASSERT_FALSE(out.failed);
+  EXPECT_EQ(out.winner_name, "win");
+  EXPECT_FALSE(out.alts[0].straggler);
+  EXPECT_TRUE(out.alts[1].straggler);
+  EXPECT_TRUE(out.alts[1].ran);
+  EXPECT_EQ(rt.processes().status(out.alts[1].pid), ProcStatus::kEliminated);
+}
+
+TEST_F(AltThreadReap, TimeoutPathIsBounded) {
+  opts.timeout = 200'000;  // the deaf body has long started by then
+  const AltOutcome out = run({deaf()});
+  EXPECT_EQ(out.failure, AltFailure::kTimeout);
+  EXPECT_TRUE(out.alts[0].straggler);
+}
+
+TEST_F(AltThreadReap, SynchronousEliminationIsBounded) {
+  opts.elimination = Elimination::kSynchronous;
+  const AltOutcome out = run({winner_after_start(), deaf()});
+  EXPECT_EQ(out.winner_name, "win");
+  EXPECT_TRUE(out.alts[1].straggler);
+}
+
+TEST_F(AltThreadReap, StragglerHoldsItsAdmissionGrantUntilItUnwinds) {
+  auditor.add_world(root);
+  const AltOutcome out = run({winner_after_start(), deaf()});
+  ASSERT_TRUE(out.alts[1].straggler);
+  // The winner's grant came back with the block; the straggler keeps its
+  // world, and with it its grant, until its task ends.
+  EXPECT_EQ(rt.scheduler().live_worlds(), 1u);
+  for (int i = 0; i < 5000 && rt.scheduler().live_worlds() != 0; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(rt.scheduler().live_worlds(), 0u);
+  const AuditReport audit = auditor.run(rt.processes());
+  EXPECT_TRUE(audit.clean()) << audit.to_string();
+}
+
+TEST_F(AltThreadReap, QueuedStragglerNeverRunsItsBody) {
+  // Every revoke misses, one worker is held busy, and the winner leaves
+  // the other a blocking task to run next, so the loser is still queued at
+  // the reap deadline. When it is finally taken the block has returned and
+  // the caller's alternatives are gone: its body must not run, and it
+  // still frees its world and grant.
+  FaultInjector inj(3);
+  inj.arm("sched.revoke", FaultSpec::always(FaultKind::kFailAlternative));
+  FaultScope scope(inj);
+  std::atomic<bool> busy{false};
+  rt.scheduler().submit(
+      [&] {
+        busy = true;
+        stay_deaf();
+      },
+      0.0, 0, kNoPid);
+  spin_until(busy);
+  std::atomic<bool> late_ran{false};
+  const AltOutcome out = run(
+      {{"win", nullptr,
+        [this](AltContext&) {
+          // From a worker, submit() goes to this worker's own deque, which
+          // it serves before the shared inbox holding the loser.
+          rt.scheduler().submit([this] { stay_deaf(); }, 0.0, 0, kNoPid);
+        },
+        nullptr, 1.0},
+       {"late", nullptr, [&](AltContext&) { late_ran = true; }, nullptr,
+        0.0}});
+  ASSERT_EQ(out.winner_name, "win");
+  EXPECT_TRUE(out.alts[1].straggler);
+  EXPECT_FALSE(out.alts[1].ran);
+  for (int i = 0; i < 5000 && rt.scheduler().live_worlds() != 0; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(rt.scheduler().live_worlds(), 0u);
+  EXPECT_FALSE(late_ran.load());
+}
+
+TEST_F(AltThreadReap, CooperativeLosersJoinWithoutStragglers) {
+  const AltOutcome out = run_alternatives(
+      rt, root,
+      {winner_after_start(),
+       {"coop", nullptr,
+        [this](AltContext& ctx) {
+          started = true;
+          for (int i = 0; i < 200; ++i) ctx.sleep_for(1'000);
+          ctx.fail("never");
+        },
+        nullptr}});
+  ASSERT_FALSE(out.failed);
+  EXPECT_TRUE(out.alts[1].ran);
   for (const AltReport& rep : out.alts) EXPECT_FALSE(rep.straggler);
 }
 

@@ -112,7 +112,7 @@ TEST(Speculate, TimeoutFails) {
 
 TEST(Speculate, ThreadBackendWorksToo) {
   RuntimeConfig cfg;
-  cfg.backend = AltBackend::kThread;
+  cfg.backend = AltBackend::kPool;  // wall clock, on worker threads
   cfg.page_size = 64;
   cfg.num_pages = 32;
   Runtime rt(cfg);

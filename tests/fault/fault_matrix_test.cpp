@@ -186,8 +186,8 @@ TEST(FaultMatrix, EnvSeedSweepAuditsClean) {
 }
 
 TEST(FaultMatrix, ThreadBackendSurvivesCrashAndHangChildren) {
-  // Wall-clock backend: a crashing child and a hanging child in every
-  // block. Deterministic per-point policies (always) keep the schedule
+  // Wall-clock backend (kPool on its worker threads): a crashing child
+  // and a hanging child in every block. Deterministic per-point policies (always) keep the schedule
   // interleaving-independent; the assertions are completion + invariants.
   FaultInjector inj(5);
   inj.arm("mxt.crash", FaultSpec::always(FaultKind::kCrashException));
@@ -195,7 +195,7 @@ TEST(FaultMatrix, ThreadBackendSurvivesCrashAndHangChildren) {
   FaultScope scope(inj);
 
   RuntimeConfig cfg;
-  cfg.backend = AltBackend::kThread;
+  cfg.backend = AltBackend::kPool;
   Runtime rt(cfg);
   RuntimeAuditor auditor;
   World root = rt.make_root("matrix-t");
@@ -231,7 +231,7 @@ TEST(FaultMatrix, SequentialRecoveryBlockDegradesInjectedHang) {
   inj.arm("rb.seqhang.primary", FaultSpec::always(FaultKind::kHang));
   FaultScope scope(inj);
   RuntimeConfig cfg;
-  cfg.backend = AltBackend::kThread;  // non-virtual: the degrading path
+  cfg.backend = AltBackend::kPool;  // non-virtual: the degrading path
   Runtime rt(cfg);
   World root = rt.make_root();
   RecoveryBlock rb("seqhang", [](const World&) { return true; });

@@ -73,7 +73,7 @@ TEST(SpeculativeRootfinder, ThreadBackendAgreesOnOutcome) {
   Rng rng(23);
   PolyWorkload w = make_clustered_poly(rng);
   RuntimeConfig cfg;
-  cfg.backend = AltBackend::kThread;
+  cfg.backend = AltBackend::kPool;  // wall clock, on worker threads
   Runtime rt(cfg);
   World root = rt.make_root();
   auto out = run_alternatives(rt, root,
