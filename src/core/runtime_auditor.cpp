@@ -132,15 +132,16 @@ AuditReport RuntimeAuditor::run(const ProcessTable& table,
                " unknown to the process table");
       continue;
     }
-    const ProcessRecord& rec = table.get(pid);
-    if (rec.alt_group != e.a)
+    const std::uint64_t group = table.alt_group(pid);
+    if (group != e.a)
       mismatch("pid " + std::to_string(pid) + " traced in group " +
                std::to_string(e.a) + " but tabled in group " +
-               std::to_string(rec.alt_group));
-    if (e.other != kNoPid && rec.parent != e.other)
+               std::to_string(group));
+    const Pid parent = table.parent(pid);
+    if (e.other != kNoPid && parent != e.other)
       mismatch("pid " + std::to_string(pid) + " traced parent " +
                std::to_string(e.other) + " but tabled parent " +
-               std::to_string(rec.parent));
+               std::to_string(parent));
     const auto fit = fate_of.find(pid);
     if (fit == fate_of.end()) continue;  // still racing at snapshot time
     ProcStatus expected = ProcStatus::kSynced;

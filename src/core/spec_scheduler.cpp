@@ -67,10 +67,7 @@ SpecScheduler::~SpecScheduler() {
         continue;
       }
       pending_.fetch_sub(1, std::memory_order_release);
-      {
-        std::lock_guard<std::mutex> slk(stats_mu_);
-        ++stats_.revoked;
-      }
+      bump(counters_.revoked);
       if (t->on_skipped_) t->on_skipped_(*t);
       t->fn_ = nullptr;
       t->on_skipped_ = nullptr;
@@ -91,19 +88,13 @@ SchedTaskRef SpecScheduler::submit(std::function<void()> fn, double priority,
   task->pid_ = pid;
   task->seq_ = seq_.fetch_add(1, std::memory_order_relaxed);
 
-  // A worker's own spawns stay local (LIFO locality for nested races);
-  // everything else goes through the shared inbox, where workers steal it.
-  std::size_t target = inbox_index();
-  if (t_worker.sched == this) target = t_worker.index;
+  const std::size_t target = submit_index();
   {
     std::lock_guard<std::mutex> lk(deques_[target]->mu);
     deques_[target]->tasks.push_back(task);
   }
   pending_.fetch_add(1, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> lk(stats_mu_);
-    ++stats_.submitted;
-  }
+  bump(counters_.submitted);
   MW_TRACE_EVENT(trace::EventKind::kSchedEnqueue, pid, parent, group,
                  alt_index);
   work_cv_.notify_one();
@@ -121,10 +112,7 @@ bool SpecScheduler::revoke(const SchedTaskRef& task) {
     return false;  // already claimed: cooperative cancellation's job now
   }
   pending_.fetch_sub(1, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> lk(stats_mu_);
-    ++stats_.revoked;
-  }
+  bump(counters_.revoked);
   if (task->on_skipped_) task->on_skipped_(*task);
   // The deque entry is erased lazily; drop the closures now so a parked
   // revoked task owns nothing of its dead race.
@@ -182,10 +170,7 @@ SchedTaskRef SpecScheduler::steal_from(std::size_t victim,
     });
     if (!task) return nullptr;
   }
-  {
-    std::lock_guard<std::mutex> lk(stats_mu_);
-    ++stats_.stolen;
-  }
+  bump(counters_.stolen);
   MW_TRACE_EVENT(trace::EventKind::kSchedSteal, task->pid_, kNoPid,
                  task->group_, thief);
   return task;
@@ -221,10 +206,7 @@ bool SpecScheduler::execute(const SchedTaskRef& task, bool stolen) {
     if (is_kill_fault(fa.kind)) {
       task->state_.store(static_cast<int>(SchedTask::State::kFaulted),
                          std::memory_order_release);
-      {
-        std::lock_guard<std::mutex> lk(stats_mu_);
-        ++stats_.faulted;
-      }
+      bump(counters_.faulted);
       if (task->on_skipped_) task->on_skipped_(*task);
       task->fn_ = nullptr;
       task->on_skipped_ = nullptr;
@@ -235,13 +217,12 @@ bool SpecScheduler::execute(const SchedTaskRef& task, bool stolen) {
     }
   }
 
+  // Counted before the body runs: a body's completion is what lets its
+  // race return, so once every race has returned the counters balance.
+  bump(counters_.executed);
   task->fn_();
   task->state_.store(static_cast<int>(SchedTask::State::kDone),
                      std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> lk(stats_mu_);
-    ++stats_.executed;
-  }
   task->fn_ = nullptr;
   task->on_skipped_ = nullptr;
   return true;
@@ -345,8 +326,7 @@ bool SpecScheduler::admit(std::size_t worlds, Pid requester,
                           std::uint64_t group) {
   const FaultAction fa = MW_FAULT_POINT("sched.admit");
   if (is_kill_fault(fa.kind)) {
-    std::lock_guard<std::mutex> lk(stats_mu_);
-    ++stats_.admission_rejected;
+    bump(counters_.admission_rejected);
     return false;
   }
   // One policy decision per admission attempt: in kAdaptive mode the
@@ -381,10 +361,7 @@ bool SpecScheduler::admit(std::size_t worlds, Pid requester,
   if (cfg_.policy != nullptr) cfg_.policy->observe_admission(true);
   MW_TRACE_EVENT(trace::EventKind::kSchedAdmitDefer, requester, kNoPid,
                  group, live_worlds_);
-  {
-    std::lock_guard<std::mutex> slk(stats_mu_);
-    ++stats_.admission_deferred;
-  }
+  bump(counters_.admission_deferred);
   if (deterministic()) {
     // Single-threaded: nothing can release capacity while we wait, so a
     // deferred race resolves immediately (admitted iff only force-deferred).
@@ -392,8 +369,7 @@ bool SpecScheduler::admit(std::size_t worlds, Pid requester,
       live_worlds_ += worlds;
       return true;
     }
-    std::lock_guard<std::mutex> slk(stats_mu_);
-    ++stats_.admission_rejected;
+    bump(counters_.admission_rejected);
     return false;
   }
   const auto deadline = std::chrono::steady_clock::now() +
@@ -402,8 +378,7 @@ bool SpecScheduler::admit(std::size_t worlds, Pid requester,
   // pressure can also ease without any release() (worlds dying elsewhere).
   while (!fits()) {
     if (std::chrono::steady_clock::now() >= deadline) {
-      std::lock_guard<std::mutex> slk(stats_mu_);
-      ++stats_.admission_rejected;
+      bump(counters_.admission_rejected);
       return false;
     }
     admit_cv_.wait_for(lk, std::chrono::milliseconds(1));
@@ -422,16 +397,17 @@ void SpecScheduler::release(std::size_t worlds) {
 }
 
 void SpecScheduler::scrub(std::uint64_t group) {
-  for (auto& d : deques_) {
-    std::lock_guard<std::mutex> lk(d->mu);
-    d->tasks.erase(
-        std::remove_if(d->tasks.begin(), d->tasks.end(),
-                       [&](const SchedTaskRef& t) {
-                         return t->group_ == group &&
-                                t->state() != SchedTask::State::kQueued;
-                       }),
-        d->tasks.end());
-  }
+  // Taking a task removes it from its deque, so what is left of a race sits
+  // in the one deque it was submitted to: this thread's.
+  Deque& d = *deques_[submit_index()];
+  std::lock_guard<std::mutex> lk(d.mu);
+  d.tasks.erase(std::remove_if(d.tasks.begin(), d.tasks.end(),
+                               [&](const SchedTaskRef& t) {
+                                 return t->group_ == group &&
+                                        t->state() !=
+                                            SchedTask::State::kQueued;
+                               }),
+                d.tasks.end());
 }
 
 std::size_t SpecScheduler::live_worlds() const {
@@ -439,9 +415,25 @@ std::size_t SpecScheduler::live_worlds() const {
   return live_worlds_;
 }
 
+std::size_t SpecScheduler::submit_index() const {
+  // A worker's own spawns stay local (LIFO locality for nested races);
+  // everything else goes through the shared inbox, where workers steal it.
+  return t_worker.sched == this ? t_worker.index : inbox_index();
+}
+
 SchedStats SpecScheduler::stats() const {
-  std::lock_guard<std::mutex> lk(stats_mu_);
-  return stats_;
+  auto get = [](const std::atomic<std::uint64_t>& c) {
+    return c.load(std::memory_order_relaxed);
+  };
+  SchedStats s;
+  s.submitted = get(counters_.submitted);
+  s.executed = get(counters_.executed);
+  s.stolen = get(counters_.stolen);
+  s.revoked = get(counters_.revoked);
+  s.faulted = get(counters_.faulted);
+  s.admission_deferred = get(counters_.admission_deferred);
+  s.admission_rejected = get(counters_.admission_rejected);
+  return s;
 }
 
 }  // namespace mw

@@ -200,8 +200,9 @@ class SpecScheduler {
   void release(std::size_t worlds);
 
   /// Drops terminal (revoked/done) tasks of `group` still parked in the
-  /// deques, releasing their closures. Called at block end so a revoked
-  /// sibling's task record does not outlive its race.
+  /// deque this thread submits to, releasing their closures. Called at
+  /// block end, on the thread that submitted the group's tasks, so a
+  /// revoked sibling's task record does not outlive its race.
   void scrub(std::uint64_t group);
 
   /// True when alt_wait should drive/help instead of sleeping: always in
@@ -220,7 +221,25 @@ class SpecScheduler {
     std::deque<SchedTaskRef> tasks;
   };
 
+  /// The counters behind stats(). Relaxed: a total needs no ordering with
+  /// the tasks it counts, and readers take it after the races they count
+  /// have returned.
+  struct Counters {
+    std::atomic<std::uint64_t> submitted{0};
+    std::atomic<std::uint64_t> executed{0};
+    std::atomic<std::uint64_t> stolen{0};
+    std::atomic<std::uint64_t> revoked{0};
+    std::atomic<std::uint64_t> faulted{0};
+    std::atomic<std::uint64_t> admission_deferred{0};
+    std::atomic<std::uint64_t> admission_rejected{0};
+  };
+  static void bump(std::atomic<std::uint64_t>& c) {
+    c.fetch_add(1, std::memory_order_relaxed);
+  }
+
   std::size_t inbox_index() const { return deques_.size() - 1; }
+  /// The deque this thread's submissions go to.
+  std::size_t submit_index() const;
   void worker_loop(std::size_t self);
   /// Owner end: highest priority, ties broken LIFO (newest).
   SchedTaskRef pop_own(std::size_t self);
@@ -251,8 +270,7 @@ class SpecScheduler {
   std::mutex det_mu_;  // deterministic mode: guards det_rng_
   Rng det_rng_;
 
-  mutable std::mutex stats_mu_;
-  SchedStats stats_;
+  Counters counters_;
 };
 
 }  // namespace mw

@@ -28,10 +28,10 @@ World World::fork_alternative(Pid self_pid,
 
 World World::clone_with_predicates(PredicateSet preds,
                                    std::string label) const {
-  const Pid pid = table_->create(table_->get(pid_).parent, 0, std::move(label));
+  const Pid pid = table_->create(table_->parent(pid_), 0, std::move(label));
   table_->set_status(pid, ProcStatus::kRunning);
   MW_TRACE_EVENT(trace::EventKind::kWorldSplit, pid, pid_, 0,
-                 table_->get(pid_).alt_group);
+                 table_->alt_group(pid_));
   return World(*table_, pid, space_.fork(), std::move(preds));
 }
 

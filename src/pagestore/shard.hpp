@@ -34,7 +34,10 @@ class PageShard {
   static std::size_t current() { return bound_; }
 
  private:
-  static thread_local std::size_t bound_;
+  // Defined in the header: with an out-of-line definition an
+  // address,undefined build reported a store to a null pointer here
+  // whenever a pool worker bound its shard.
+  inline static thread_local std::size_t bound_ = kUnbound;
 };
 
 }  // namespace mw
